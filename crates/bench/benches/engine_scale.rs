@@ -1,6 +1,6 @@
 //! Engine-scale benchmark: raw scheduler throughput (events/sec) of the
 //! hierarchical timing wheel vs the legacy `BinaryHeap` queue at 1k / 10k /
-//! 100k scheduled events, plus the batched end-to-end delivery loop.
+//! 100k scheduled events, plus the end-to-end delivery loop.
 //!
 //! * `wheel/{n}` — schedule `n` keyed events with delays mixed across every
 //!   wheel level, then drain with same-timestamp batch pops (spill
@@ -17,9 +17,9 @@
 //!   lands (wheel levels 3–4, not the overflow heap). The ratio between
 //!   the two is the scheduler's multi-site tax; it must stay within 10%.
 //! * `delivery/batched` — one simulated window of heavy traffic on a k=4
-//!   fat-tree through the batched `Network` loop (`receive_batch` /
-//!   `dequeue_batch` under the wheel), digest-pinned so the workload can't
-//!   silently drift.
+//!   fat-tree through the `Network` event loop, digest-pinned so the
+//!   workload can't silently drift. The arm keeps its name so recorded
+//!   baselines stay comparable.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -158,7 +158,7 @@ fn bench_engine(c: &mut Criterion) {
         g.finish();
     }
 
-    // End-to-end batched delivery, digest-pinned against drift: the same
+    // End-to-end delivery, digest-pinned against drift: the same
     // run twice must agree, and the event count sets the throughput unit.
     let (digest, events) = run_delivery();
     assert_eq!(run_delivery(), (digest, events), "delivery workload must be deterministic");
@@ -167,7 +167,7 @@ fn bench_engine(c: &mut Criterion) {
     g.bench_function("delivery/batched", |b| {
         b.iter(|| {
             let got = run_delivery();
-            assert_eq!(got.0, digest, "batched delivery digest drifted");
+            assert_eq!(got.0, digest, "delivery digest drifted");
             black_box(got)
         });
     });

@@ -231,3 +231,25 @@ fn incremental_run_until_matches_one_shot() {
     }
     assert_eq!(fabric.stats().digest(), one_shot.digest());
 }
+
+#[test]
+fn odd_sized_network_steps_match_one_call() {
+    // The kernel hashes arrivals for the trace several frames at a time and
+    // flushes partly filled lanes whenever run_until returns. Stepping a
+    // TPP-stamping cell in odd-sized slices (so flushes land mid-burst, at
+    // every lane occupancy) must reproduce the one-call trace exactly.
+    let build =
+        || TopologySpec::FatTree { k: 4 }.builder().link_mbps(1000).delay_ns(1000).seed(56).build();
+    assert!(traffic().tpp_every > 0, "the cell must stamp TPPs");
+    let one_call = single(&build);
+    let mut t = build();
+    let hosts = t.hosts.clone();
+    let _d = install_traffic(&mut t.net, &hosts, &traffic());
+    let mut at = 0;
+    while at < HORIZON {
+        at = (at + 997).min(HORIZON);
+        t.net.run_until(at);
+    }
+    assert_eq!(t.net.stats.trace, one_call.trace);
+    assert_eq!(t.net.stats.digest(), one_call.digest());
+}

@@ -5,8 +5,7 @@
 //! `Switch::receive`) for twelve scenarios: {star, leaf-spine, fat-tree(4)}
 //! × {clean, link faults} × {single-threaded, 4 fabric shards}. The
 //! timing-wheel scheduler, the LinkFabric/NodeStore decomposition, and the
-//! batched `receive_batch`/`dequeue_batch` delivery path must reproduce
-//! every digest bit-for-bit — any divergence in a timestamp, a route, a
+//! lane-interleaved trace hash must reproduce every digest bit-for-bit — any divergence in a timestamp, a route, a
 //! fault draw, or a single TPP result word changes the value.
 //!
 //! To re-record after an *intentional* behavior change, run with

@@ -35,9 +35,8 @@
 //!   levels; each event cascades at most `LEVELS - 1` times in its life.
 //! * A level-0 slot is exactly 1 ns wide, so every event in it shares one
 //!   timestamp. Draining a level-0 slot and sorting it by `(key, seq)`
-//!   yields precisely the heap's pop order — and hands the caller the whole
-//!   same-timestamp *batch* at once ([`Scheduler::pop_batch`]), which the
-//!   network loop turns into batched frame delivery.
+//!   yields precisely the heap's pop order, and can hand the caller the
+//!   whole same-timestamp *batch* at once ([`Scheduler::pop_batch`]).
 //! * Deadlines further out than the wheel span go to a sorted *overflow
 //!   heap* and migrate into the wheel when the clock gets close enough.
 //!   Because every wheel event shares the clock's high bits and every
@@ -158,11 +157,6 @@ pub struct Scheduler<E> {
     /// capacity every transition re-grows that slot from zero (realloc +
     /// memcpy each doubling). Bounded so idle capacity can't accumulate.
     spare_pool: Vec<Vec<Entry<E>>>,
-    /// Count of inserts that landed exactly at the current clock value.
-    /// Batch consumers snapshot this to learn whether a handler scheduled
-    /// new work at the timestamp being drained (the only case where a
-    /// mid-batch merge against [`Scheduler::peek_next`] is needed).
-    now_inserts: u64,
     /// Small-queue backend: until the first spill, every pending event
     /// (except the staged `ready` batch) lives here and the wheel is empty.
     heap: BinaryHeap<Entry<E>>,
@@ -194,7 +188,6 @@ impl<E> Default for Scheduler<E> {
             ready: VecDeque::new(),
             ready_time: 0,
             spare_pool: Vec::new(),
-            now_inserts: 0,
             heap: BinaryHeap::new(),
             spill_threshold: SPILL_THRESHOLD,
             spilled: false,
@@ -229,7 +222,7 @@ impl<E> Scheduler<E> {
     }
 
     /// Schedule `event` at absolute time `at`. Scheduling in the past is a
-    /// logic error and panics in debug builds; in release it clamps to now.
+    /// logic error and panics.
     pub fn schedule_at(&mut self, at: Time, event: E) {
         self.schedule_keyed(at, 0, event);
     }
@@ -238,17 +231,13 @@ impl<E> Scheduler<E> {
     /// ties are broken by `(key, insertion order)`. Keys must be derived
     /// from event *content* if the schedule is to be reproducible across
     /// differently-partitioned runs (see module docs). The time-travel
-    /// guard applies: `at < now` panics in debug builds and clamps to `now`
-    /// in release builds, so a queue can never silently reorder the past.
+    /// guard applies in every build: `at < now` panics, so a queue can
+    /// never silently reorder the past.
     pub fn schedule_keyed(&mut self, at: Time, key: u64, event: E) {
-        debug_assert!(at >= self.now, "scheduling into the past: {} < {}", at, self.now);
-        let at = at.max(self.now);
+        assert!(at >= self.now, "scheduling into the past: {} < {}", at, self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
         self.len += 1;
-        if at == self.now {
-            self.now_inserts += 1;
-        }
         let entry = Entry { time: at, key, seq, event };
         if !self.ready.is_empty() && at == self.ready_time {
             // The batch for this timestamp is already staged: merge by key
@@ -452,6 +441,26 @@ impl<E> Scheduler<E> {
         Some((e.time, e.event))
     }
 
+    /// Pop the earliest event if it is due at or before `until`, advancing
+    /// the clock; otherwise leave the clock alone and return `None`.
+    pub fn pop_until(&mut self, until: Time) -> Option<(Time, E)> {
+        // Heap-backend fast path: before the first spill, with nothing
+        // staged, the heap top *is* the next event.
+        if !self.spilled && self.ready.is_empty() {
+            if self.heap.peek()?.time > until {
+                return None;
+            }
+            let e = self.heap.pop().unwrap();
+            self.len -= 1;
+            self.now = e.time;
+            return Some((e.time, e.event));
+        }
+        if self.peek_time()? > until {
+            return None;
+        }
+        self.pop()
+    }
+
     /// Drain the *entire* earliest-timestamp batch — every event sharing
     /// that timestamp, in `(key, seq)` order — into `out` (appended as
     /// `(key, event)` pairs), advancing the clock. Returns the batch
@@ -459,8 +468,8 @@ impl<E> Scheduler<E> {
     ///
     /// Handlers may keep scheduling at the returned timestamp; such events
     /// are *not* part of this batch (they pop on a later call), so a caller
-    /// that needs exact heap-equivalent interleaving must merge against
-    /// [`Scheduler::peek_next`] while it works through the batch.
+    /// that needs exact heap-equivalent interleaving should pop one event at
+    /// a time instead.
     pub fn pop_batch(&mut self, out: &mut Vec<(u64, E)>) -> Option<Time> {
         // Heap-backend fast path: with nothing staged, the top-timestamp
         // run can drain straight into the caller's batch, skipping the
@@ -496,18 +505,10 @@ impl<E> Scheduler<E> {
         self.peek_next().map(|(t, _)| t)
     }
 
-    /// Monotone count of inserts that landed exactly at the current clock.
-    /// Snapshot before working through a drained batch; if unchanged, no
-    /// handler has scheduled at the batch timestamp and no merge check is
-    /// needed.
-    pub fn now_insert_marks(&self) -> u64 {
-        self.now_inserts
-    }
-
     /// `(timestamp, order key)` of the next event without popping. Exact —
     /// per-slot minima make this a scan of at most one candidate slot per
     /// level plus the overflow head, with no cascading.
-    pub fn peek_next(&self) -> Option<(Time, u64)> {
+    fn peek_next(&self) -> Option<(Time, u64)> {
         if self.len == 0 {
             return None;
         }
@@ -581,8 +582,7 @@ impl<E> HeapQueue<E> {
     }
 
     pub fn schedule_keyed(&mut self, at: Time, key: u64, event: E) {
-        debug_assert!(at >= self.now, "scheduling into the past: {} < {}", at, self.now);
-        let at = at.max(self.now);
+        assert!(at >= self.now, "scheduling into the past: {} < {}", at, self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Entry { time: at, key, seq, event });
@@ -670,25 +670,14 @@ mod tests {
     }
 
     /// The time-travel guard: a shard-local queue must never silently
-    /// reorder the past. Debug builds panic; release builds clamp to `now`.
+    /// reorder the past. Debug and release builds both panic.
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "scheduling into the past")]
     fn schedule_into_the_past_panics_in_debug() {
         let mut q = Scheduler::new();
         q.schedule_at(100, "later");
         q.pop(); // now == 100
         q.schedule_at(99, "earlier");
-    }
-
-    #[test]
-    #[cfg(not(debug_assertions))]
-    fn schedule_into_the_past_clamps_in_release() {
-        let mut q = Scheduler::new();
-        q.schedule_at(100, "later");
-        q.pop(); // now == 100
-        q.schedule_at(99, "earlier");
-        assert_eq!(q.pop(), Some((100, "earlier")));
     }
 
     #[test]
@@ -743,6 +732,24 @@ mod tests {
         assert_eq!(q.pop_batch(&mut out), Some(20));
         assert_eq!(out, vec![(0, "later")]);
         assert_eq!(q.pop_batch(&mut out), None);
+    }
+
+    #[test]
+    fn pop_until_stops_at_the_horizon_without_moving_the_clock() {
+        for threshold in [0, usize::MAX] {
+            let mut q = Scheduler::with_spill_threshold(threshold);
+            q.schedule_keyed(10, 2, "b");
+            q.schedule_keyed(10, 1, "a");
+            q.schedule_keyed(30, 0, "late");
+            assert_eq!(q.pop_until(10), Some((10, "a")));
+            q.schedule_keyed(10, 0, "now"); // a handler scheduling at the clock
+            assert_eq!(q.pop_until(10), Some((10, "now")));
+            assert_eq!(q.pop_until(10), Some((10, "b")));
+            assert_eq!(q.pop_until(29), None);
+            assert_eq!(q.now(), 10, "a refused pop must not advance the clock");
+            assert_eq!(q.pop_until(30), Some((30, "late")));
+            assert_eq!(q.pop_until(u64::MAX), None);
+        }
     }
 
     #[test]

@@ -5,14 +5,15 @@
 //! three explicit layers under a thin coordinator:
 //!
 //! * [`engine`] — the scheduler layer: a deterministic hierarchical
-//!   timing-wheel event queue with same-timestamp batch draining.
+//!   timing-wheel event queue with content-keyed tie-breaking.
 //! * [`link`] — the link layer: full-duplex rate/delay links, per-link
 //!   fault injection (drops, corruption), transmit sequencing, and
 //!   in-flight frame batches.
 //! * [`nodes`] — the node layer: switches (from `tpp-switch`), hosts with
 //!   pluggable applications, and the frame-buffer pool.
-//! * [`net`] — the coordinator gluing the layers into the batched event
-//!   loop (and the shard kernel of `tpp-fabric`).
+//! * [`net`] — the coordinator gluing the layers into the event loop (and
+//!   the shard kernel of `tpp-fabric`), with the lane-interleaved trace
+//!   hash of its digest in a private `trace` module.
 //! * [`scenario`] — declarative topology construction: a [`TopologySpec`]
 //!   (star, dumbbell, line, leaf-spine, fat-trees plain/oversubscribed/
 //!   asymmetric, jellyfish, edge-list import) built by [`TopologyBuilder`],
@@ -36,6 +37,7 @@ pub mod nodes;
 pub mod reconfig;
 pub mod scenario;
 pub mod topology;
+mod trace;
 
 pub use engine::{Scheduler, Time, MILLIS, SECONDS};
 pub use link::LinkFabric;

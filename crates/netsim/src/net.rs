@@ -1,4 +1,4 @@
-//! The network coordinator: three layers and the batched event loop.
+//! The network coordinator: three layers and the event loop.
 //!
 //! The model is deliberately explicit (smoltcp-style simplicity): every
 //! packet is a real Ethernet frame (`Vec<u8>`); switches and hosts parse
@@ -11,7 +11,7 @@
 //! each ignorant of the others:
 //!
 //! * [`Scheduler`] — the hierarchical timing-wheel event queue (see
-//!   [`crate::engine`]): time, ordering, and same-timestamp batching.
+//!   [`crate::engine`]): time and ordering.
 //! * [`LinkFabric`] — link wiring, rate/delay computation, per-link fault
 //!   RNG streams and transmit sequence numbers, and the per-`(node, port)`
 //!   in-flight frame batches.
@@ -24,31 +24,23 @@
 //! shard kernel is not a different engine, just a `Network` whose node
 //! store holds `Remote` markers for non-local slots.
 //!
-//! # Batched delivery
+//! # Event loop and trace hashing
 //!
-//! The scheduler drains *all* events sharing a timestamp into a reusable
-//! batch buffer in one call ([`Scheduler::pop_batch`]). The coordinator
-//! walks the batch in key order and hands maximal runs to batch-aware node
-//! entry points: link arrivals targeting the same switch go through
-//! [`Switch::receive_batch`] (amortizing clock stores and route lookups
-//! across back-to-back frames, like an ASIC pipeline), and transmit
-//! completions on the same switch pop their next frames through
-//! [`Switch::dequeue_batch`]. Batching is *behavior-invariant*: handlers
-//! that schedule new events at the current timestamp are merged back into
-//! the key order via [`Scheduler::peek_next`], so the pop sequence — and
-//! therefore [`NetStats::digest`] — is bit-identical to the
-//! one-event-at-a-time loop.
+//! [`Network::run_until`] is a plain pop-and-dispatch loop: one event at a
+//! time, in the scheduler's `(time, key, seq)` order. An earlier loop
+//! drained whole same-timestamp batches and handed same-switch runs to
+//! [`Switch::receive_batch`]; with nanosecond timestamps co-timed arrivals
+//! at one switch almost never happen (the mean batch was 1.003 frames), so
+//! it bought nothing for its segmentation and merge bookkeeping.
 //!
-//! Inside [`Switch::receive_batch`] the same contract governs *execution*
-//! batching: only batch-invariant inputs are hoisted out of the per-frame
-//! loop — the clock, exec/pipeline options, the route-lookup memo, and the
-//! program plan (via the per-switch plan cache, which keys on the exact
-//! bytes the planner reads). Everything a TPP can observe changing — queue
-//! stats, stage SRAM, flow counters, CSTORE effects — is read and written
-//! strictly per frame, in arrival order. [`NetStats`] surfaces the
-//! efficacy counters (`rx_batches`, `rx_batch_frames`, `rx_batch_max`,
-//! `plan_cache_hits`/`misses`/`evictions`); none of them enter the digest,
-//! which pins batched execution bit-identical to sequential.
+//! Every arrival folds an FNV-1a hash of the frame bytes into
+//! [`NetStats::trace`]. FNV-1a is a serial multiply chain and was the
+//! loop's largest single cost, so the frame is copied into one of
+//! `trace::LANES` reusable buffers before the switch or host sees it, and
+//! full lanes are hashed interleaved (see the `trace` module). The trace
+//! is a wrapping sum, so this cannot change a digest bit. Partly filled
+//! lanes are flushed before `run_until` returns, so [`NetStats`] is
+//! complete whenever a caller can read it.
 //!
 //! # The network as a shard kernel
 //!
@@ -72,6 +64,7 @@ use crate::engine::{Scheduler, Time, MILLIS};
 use crate::link::LinkFabric;
 use crate::nodes::{NodeKind, NodeStore};
 use crate::reconfig::{ReconfigAction, ReconfigPlan};
+use crate::trace::TraceLanes;
 use tpp_core::wire::{EthernetAddress, Ipv4Address};
 use tpp_switch::{DropReason, ReceiveOutcome, Switch, SwitchConfig};
 
@@ -89,17 +82,6 @@ pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// FNV-1a over a byte slice (frame contents feed the trace digest).
-#[inline]
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// The interface hosts implement to participate in the simulation.
@@ -222,10 +204,7 @@ enum Ev {
 /// [`Scheduler`](crate::engine::Scheduler) docs): packed from event content
 /// so per-shard queues reproduce the global tie-break order. Layout:
 /// `kind:6 | node:32 | sub:26`. Utilization ticks sort first at a boundary,
-/// then arrivals, transmit completions, kicks, and host timers. A welcome
-/// side effect of key order: all arrivals for one switch are *adjacent* in
-/// a same-timestamp batch, ports ascending — exactly the shape
-/// [`Switch::receive_batch`] wants.
+/// then arrivals, transmit completions, kicks, and host timers.
 fn ev_key(ev: &Ev) -> u64 {
     const fn pack(kind: u64, node: u32, sub: u64) -> u64 {
         (kind << 58) | ((node as u64) << 26) | (sub & 0x03FF_FFFF)
@@ -297,15 +276,14 @@ pub struct NetStats {
     pub violations_blackhole: u64,
     /// Probes completing over paths outside the allowed set.
     pub violations_path: u64,
-    /// Delivery batches executed through `Switch::receive_batch`. Like
-    /// `events_processed`, batching geometry varies with the partitioning
-    /// (shards split co-timed arrivals), so these stay out of the digest.
+    /// Switch receive batches. The event loop delivers one frame at a
+    /// time, so every switch arrival counts as a batch of one; the
+    /// counters stay so the cell JSON keeps its schema. Out of the digest.
     pub rx_batches: u64,
-    /// Total frames delivered through those batches (so the mean batch
-    /// size is `rx_batch_frames / rx_batches`).
+    /// Frames delivered to switches (equals `rx_batches`).
     pub rx_batch_frames: u64,
-    /// Largest single delivery batch observed ([`NetStats::merge`] takes
-    /// the max across shards).
+    /// Largest receive batch: 1 once any switch has received a frame
+    /// ([`NetStats::merge`] takes the max across shards).
     pub rx_batch_max: u64,
     /// TPP plan-cache hits summed over every switch, snapshotted when
     /// `run_until` returns (same convention as `pool_retained`). Hit/miss
@@ -324,20 +302,13 @@ pub struct NetStats {
     /// arrivals in any interleaving and still merge to the exact value the
     /// single-threaded run produces — while any difference in a timestamp,
     /// a route, or a single payload byte (e.g. a TPP result word) changes
-    /// the sum.
+    /// the sum. The same property lets the kernel hash arrivals several at
+    /// a time (the `trace` module); the value is complete whenever
+    /// `run_until` has returned.
     pub trace: u64,
 }
 
 impl NetStats {
-    /// Fold one frame arrival into the commutative trace. The tag is
-    /// mixed through `SplitMix64` before combining so every node-id bit is
-    /// load-bearing (a plain shift would discard high bits at k=64 scale).
-    fn observe_arrival(&mut self, now: Time, node: NodeId, port: u8, frame: &[u8]) {
-        let tag = ((node.0 as u64) << 8) | port as u64;
-        let h = fnv1a(frame) ^ splitmix64(now ^ splitmix64(tag));
-        self.trace = self.trace.wrapping_add(splitmix64(h));
-    }
-
     /// Digest of the run for differential testing: covers delivery, drop,
     /// and corruption counts plus the [`trace`](NetStats::trace)
     /// accumulator. `events_processed`, `pool_retained`, and
@@ -420,13 +391,6 @@ impl NetStats {
     }
 }
 
-/// Above this link rate a minimum-size frame could serialize in under a
-/// nanosecond, letting a transmit completion chain more same-timestamp
-/// work whose keys fall *inside* a batched dequeue run. Such links (well
-/// beyond any profile the experiments use) take the single-event path,
-/// where the [`Scheduler::peek_next`] merge preserves exact order.
-const BATCH_SAFE_RATE_MBPS: u64 = 100_000;
-
 /// The simulated network (equally: one shard kernel of a partitioned run):
 /// a thin coordinator over the scheduler, link, and node layers.
 pub struct Network {
@@ -445,12 +409,8 @@ pub struct Network {
     reconfig_plan: ReconfigPlan,
     /// Plan entries already turned into scheduled events.
     reconfigs_scheduled: usize,
-    /// Reusable buffers for the batched delivery loop.
-    batch: Vec<(u64, Ev)>,
-    rx_frames: Vec<(u8, Vec<u8>)>,
-    rx_outcomes: Vec<ReceiveOutcome>,
-    deq_ports: Vec<u8>,
-    deq_frames: Vec<(u8, Vec<u8>)>,
+    /// Arrivals copied aside for the interleaved trace hash.
+    trace_lanes: TraceLanes,
 }
 
 impl Network {
@@ -466,11 +426,7 @@ impl Network {
             hosts_started: false,
             reconfig_plan: Vec::new(),
             reconfigs_scheduled: 0,
-            batch: Vec::new(),
-            rx_frames: Vec::new(),
-            rx_outcomes: Vec::new(),
-            deq_ports: Vec::new(),
-            deq_frames: Vec::new(),
+            trace_lanes: TraceLanes::default(),
         }
     }
 
@@ -811,16 +767,29 @@ impl Network {
         self.schedule_ev(f.at, Ev::Arrive { node: f.node, port: f.port });
     }
 
+    /// Queue one frame arrival for the commutative trace. The tag is mixed
+    /// through `SplitMix64` before combining so every node-id bit is
+    /// load-bearing (a plain shift would discard high bits at k=64 scale).
+    fn observe_arrival(&mut self, now: Time, node: NodeId, port: u8, frame: &[u8]) {
+        let tag = ((node.0 as u64) << 8) | port as u64;
+        if self.trace_lanes.push(frame, splitmix64(now ^ splitmix64(tag))) {
+            self.stats.trace = self.stats.trace.wrapping_add(self.trace_lanes.flush());
+        }
+    }
+
     fn handle_arrive(&mut self, node: NodeId, port: u8) {
         let Some(frame) = self.links.pop_in_flight(node, port) else {
             return;
         };
         self.stats.frames_delivered += 1;
         let now = self.scheduler.now();
-        self.stats.observe_arrival(now, node, port, &frame);
+        self.observe_arrival(now, node, port, &frame);
         let (kind, pool) = self.nodes.kind_and_pool_mut(node);
         match kind {
             NodeKind::Switch(sw) => {
+                self.stats.rx_batches += 1;
+                self.stats.rx_batch_frames += 1;
+                self.stats.rx_batch_max = 1;
                 match sw.receive(now, port, frame) {
                     ReceiveOutcome::Enqueued { port: out, proc_latency_ns, .. } => {
                         // The pipeline needs proc_latency before the frame is
@@ -863,8 +832,7 @@ impl Network {
         self.apply_effects(node, effects);
     }
 
-    /// Dispatch one event the classic way (the non-batched path: host
-    /// events, util ticks, and anything the batch segmenter opts out of).
+    /// Dispatch one event.
     fn handle_event(&mut self, ev: Ev) {
         match ev {
             Ev::Arrive { node, port } => self.handle_arrive(node, port),
@@ -888,196 +856,15 @@ impl Network {
         }
     }
 
-    /// Deliver a run of same-timestamp arrivals to one switch through
-    /// [`Switch::receive_batch`], then schedule the pipeline kicks in the
-    /// same order the one-at-a-time loop would have.
-    fn deliver_switch_batch(&mut self, t: Time, node: NodeId, events: &[(u64, Ev)]) {
-        let mut frames = std::mem::take(&mut self.rx_frames);
-        let mut outcomes = std::mem::take(&mut self.rx_outcomes);
-        frames.clear();
-        outcomes.clear();
-        for &(_, ev) in events {
-            let Ev::Arrive { port, .. } = ev else { unreachable!("segmenter produced non-arrive") };
-            if let Some(frame) = self.links.pop_in_flight(node, port) {
-                self.stats.frames_delivered += 1;
-                self.stats.observe_arrival(t, node, port, &frame);
-                frames.push((port, frame));
-            }
-        }
-        if !frames.is_empty() {
-            self.stats.rx_batches += 1;
-            self.stats.rx_batch_frames += frames.len() as u64;
-            self.stats.rx_batch_max = self.stats.rx_batch_max.max(frames.len() as u64);
-        }
-        let mut any_drop = false;
-        {
-            let sw = self.nodes.switch_mut(node);
-            sw.receive_batch(t, &mut frames, &mut outcomes);
-        }
-        for oc in &outcomes {
-            match *oc {
-                ReceiveOutcome::Enqueued { port: out, proc_latency_ns, .. } => {
-                    self.schedule_ev(t + proc_latency_ns, Ev::Kick { node, port: out });
-                }
-                ReceiveOutcome::Dropped(reason) => {
-                    self.stats.count_switch_drop(reason);
-                    any_drop = true;
-                }
-            }
-        }
-        if any_drop {
-            let (kind, pool) = self.nodes.kind_and_pool_mut(node);
-            let NodeKind::Switch(sw) = kind else { unreachable!("segmenter checked is_switch") };
-            while let Some(buf) = sw.take_retired() {
-                pool.put(buf);
-            }
-        }
-        self.rx_frames = frames;
-        self.rx_outcomes = outcomes;
-    }
-
-    /// Handle a run of same-timestamp transmit completions (or kicks) on
-    /// one switch: free the transmitters, pop the next frame of every
-    /// ready port through [`Switch::dequeue_batch`], and put each on the
-    /// wire in port order — the exact sequence the one-at-a-time loop
-    /// produces, since the events arrived key-sorted by port.
-    fn txdone_switch_batch(&mut self, t: Time, node: NodeId, events: &[(u64, Ev)], tx_done: bool) {
-        let mut ports = std::mem::take(&mut self.deq_ports);
-        ports.clear();
-        for &(_, ev) in events {
-            let port = match ev {
-                Ev::TxDone { port, .. } if tx_done => {
-                    self.links.clear_busy(node, port);
-                    port
-                }
-                Ev::Kick { port, .. } if !tx_done => port,
-                _ => unreachable!("segmenter produced a mixed run"),
-            };
-            // Duplicate kicks for one port are adjacent (key-sorted): only
-            // the first can win the transmitter, exactly like the
-            // one-at-a-time loop where the second kick finds the port busy.
-            if ports.last() == Some(&port) {
-                continue;
-            }
-            if self.links.is_connected(node, port) && !self.links.is_busy(node, port) {
-                ports.push(port);
-            }
-        }
-        let mut frames = std::mem::take(&mut self.deq_frames);
-        frames.clear();
-        self.nodes.switch_mut(node).dequeue_batch(t, &ports, &mut frames);
-        for (port, frame) in frames.drain(..) {
-            self.launch_frame(t, node, port, frame);
-        }
-        self.deq_ports = ports;
-        self.deq_frames = frames;
-    }
-
-    /// Whether every port in a prospective dequeue run serializes even a
-    /// minimum-size frame in ≥ 1 ns (see [`BATCH_SAFE_RATE_MBPS`]).
-    fn dequeue_batch_safe(&self, node: NodeId, events: &[(u64, Ev)]) -> bool {
-        events.iter().all(|&(_, ev)| match ev {
-            Ev::TxDone { port, .. } | Ev::Kick { port, .. } => {
-                !self.links.is_connected(node, port)
-                    || self.links.spec(node, port).rate_mbps <= BATCH_SAFE_RATE_MBPS
-            }
-            _ => true,
-        })
-    }
-
-    /// Process one same-timestamp batch in exact heap order: maximal
-    /// same-switch runs go through the batch entry points; everything else
-    /// dispatches singly. Handlers scheduling *new* events at `t` are
-    /// merged back in by key via [`Scheduler::peek_next`].
-    fn process_batch_at(&mut self, t: Time, batch: &[(u64, Ev)]) {
-        let mut i = 0;
-        // Merge checks are only needed once a handler has actually
-        // scheduled at `t` (the insert-at-now counter moves); the common
-        // all-future-work case pays nothing.
-        let mut mark = self.scheduler.now_insert_marks();
-        while i < batch.len() {
-            if self.scheduler.now_insert_marks() != mark {
-                loop {
-                    match self.scheduler.peek_next() {
-                        Some((pt, pk)) if pt == t && pk < batch[i].0 => {
-                            let (_, ev) = self.scheduler.pop().unwrap();
-                            self.stats.events_processed += 1;
-                            self.handle_event(ev);
-                        }
-                        // Still events pending at `t` with keys at or past
-                        // the cursor: leave the mark dirty so later batch
-                        // items keep checking.
-                        Some((pt, _)) if pt == t => break,
-                        _ => {
-                            mark = self.scheduler.now_insert_marks();
-                            break;
-                        }
-                    }
-                }
-            }
-            let run_end = |kind_match: &dyn Fn(&Ev) -> bool| {
-                let mut j = i + 1;
-                while j < batch.len() && kind_match(&batch[j].1) {
-                    j += 1;
-                }
-                j
-            };
-            match batch[i].1 {
-                Ev::Arrive { node, .. } if self.nodes.is_switch(node) => {
-                    let j = run_end(&|ev| matches!(*ev, Ev::Arrive { node: n, .. } if n == node));
-                    self.deliver_switch_batch(t, node, &batch[i..j]);
-                    i = j;
-                }
-                Ev::TxDone { node, .. } if self.nodes.is_switch(node) => {
-                    let j = run_end(&|ev| matches!(*ev, Ev::TxDone { node: n, .. } if n == node));
-                    if self.dequeue_batch_safe(node, &batch[i..j]) {
-                        self.txdone_switch_batch(t, node, &batch[i..j], true);
-                        i = j;
-                    } else {
-                        self.handle_event(batch[i].1);
-                        i += 1;
-                    }
-                }
-                Ev::Kick { node, .. } if self.nodes.is_switch(node) => {
-                    let j = run_end(&|ev| matches!(*ev, Ev::Kick { node: n, .. } if n == node));
-                    // A zero-base-latency pipeline lets an arrival merged
-                    // mid-run schedule a kick at the *current* timestamp,
-                    // whose key can fall inside this run's span — only the
-                    // single-event path (merge check before every event)
-                    // reproduces heap order then. With base latency > 0
-                    // such kicks always land at a later timestamp.
-                    let kicks_at_now_possible =
-                        self.nodes.switch(node).cfg.cost.base_latency_ns == 0;
-                    if !kicks_at_now_possible && self.dequeue_batch_safe(node, &batch[i..j]) {
-                        self.txdone_switch_batch(t, node, &batch[i..j], false);
-                        i = j;
-                    } else {
-                        self.handle_event(batch[i].1);
-                        i += 1;
-                    }
-                }
-                ev => {
-                    self.handle_event(ev);
-                    i += 1;
-                }
-            }
-        }
-    }
-
     /// Run until `until` (ns) or until no events remain.
     pub fn run_until(&mut self, until: Time) {
         self.ensure_started();
-        let mut batch = std::mem::take(&mut self.batch);
-        while let Some(t) = self.scheduler.peek_time() {
-            if t > until {
-                break;
-            }
-            batch.clear();
-            self.scheduler.pop_batch(&mut batch);
-            self.stats.events_processed += batch.len() as u64;
-            self.process_batch_at(t, &batch);
+        while let Some((_, ev)) = self.scheduler.pop_until(until) {
+            self.stats.events_processed += 1;
+            self.handle_event(ev);
         }
-        self.batch = batch;
+        self.stats.trace = self.stats.trace.wrapping_add(self.trace_lanes.flush());
+        debug_assert!(self.trace_lanes.is_empty(), "trace lanes pending past run_until");
         self.stats.pool_retained = self.nodes.pool.len() as u64;
         // Snapshot plan-cache totals across this kernel's switches (remote
         // shard slots hold no switch, so fabric-wide sums stay correct).

@@ -9,13 +9,15 @@
 //!   frame, execute the egress portion of its TPP, rewrite the packet.
 //! * [`Switch::tick`] — advance time-driven state (link-utilization EWMAs).
 //!
-//! Real ASIC pipelines process packets back-to-back; the simulator mirrors
-//! that with *batch* entry points: [`Switch::receive_batch`] ingests every
-//! frame arriving at one instant with the clock stored once and a shared
+//! Real ASIC pipelines process packets back-to-back; the switch also has
+//! *batch* entry points: [`Switch::receive_batch`] ingests every frame
+//! arriving at one instant with the clock stored once and a shared
 //! route-lookup memo ([`crate::tables::LookupHint`]), and
 //! [`Switch::dequeue_batch`] pops the next frame of several ready ports in
 //! one call. Both are exactly equivalent to looping the single-frame
 //! forms — the batching amortizes bus setup, it never reorders effects.
+//! The network simulator's event loop delivers one frame at a time, so it
+//! calls only the single-frame forms.
 
 use std::collections::VecDeque;
 
@@ -508,9 +510,9 @@ impl Switch {
 
     /// Pop the next frame of *each* listed port at one instant, appending
     /// `(port, frame)` pairs (in the given port order) to `out`. The
-    /// batched counterpart of [`Switch::dequeue`], used by the link layer
-    /// when several transmitters on one switch free up at the same
-    /// timestamp: the memory-map clock is stored once, and per-port egress
+    /// batched counterpart of [`Switch::dequeue`], for when several
+    /// transmitters on one switch free up at the same timestamp: the
+    /// memory-map clock is stored once, and per-port egress
     /// execution runs in exactly the order the caller passes — ports are
     /// disjoint, so the result is identical to single dequeues.
     pub fn dequeue_batch(&mut self, now_ns: u64, ports: &[u8], out: &mut Vec<(u8, Vec<u8>)>) {
